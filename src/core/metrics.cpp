@@ -178,10 +178,14 @@ struct MetricsRegistry::Impl {
   using Instrument = std::variant<std::unique_ptr<Counter>,
                                   std::unique_ptr<Gauge>,
                                   std::unique_ptr<Histogram>>;
+  struct Slot {
+    Instrument instrument;
+    bool schedule_dependent = false;
+  };
   mutable std::mutex mutex;
   // std::map keeps snapshot output sorted without an extra pass, and node
   // stability guarantees instrument addresses survive later insertions.
-  std::map<std::string, Instrument> instruments;
+  std::map<std::string, Slot> instruments;
 };
 
 MetricsRegistry::MetricsRegistry() : impl_(new Impl) {}
@@ -195,17 +199,20 @@ MetricsRegistry& MetricsRegistry::instance() {
   return *registry;
 }
 
-Counter& MetricsRegistry::counter(const std::string& name) {
+Counter& MetricsRegistry::counter(const std::string& name,
+                                  Determinism determinism) {
   std::lock_guard<std::mutex> lock(impl_->mutex);
   auto it = impl_->instruments.find(name);
   if (it == impl_->instruments.end()) {
     it = impl_->instruments
-             .emplace(name, std::make_unique<Counter>())
+             .emplace(name, Impl::Slot{std::make_unique<Counter>()})
              .first;
   }
-  auto* slot = std::get_if<std::unique_ptr<Counter>>(&it->second);
+  auto* slot = std::get_if<std::unique_ptr<Counter>>(&it->second.instrument);
   HPNN_CHECK(slot != nullptr,
                "metrics name '" + name + "' already registered as non-counter");
+  it->second.schedule_dependent |=
+      determinism == Determinism::kScheduleDependent;
   return **slot;
 }
 
@@ -213,16 +220,18 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
   std::lock_guard<std::mutex> lock(impl_->mutex);
   auto it = impl_->instruments.find(name);
   if (it == impl_->instruments.end()) {
-    it = impl_->instruments.emplace(name, std::make_unique<Gauge>()).first;
+    it = impl_->instruments.emplace(name, Impl::Slot{std::make_unique<Gauge>()})
+             .first;
   }
-  auto* slot = std::get_if<std::unique_ptr<Gauge>>(&it->second);
+  auto* slot = std::get_if<std::unique_ptr<Gauge>>(&it->second.instrument);
   HPNN_CHECK(slot != nullptr,
                "metrics name '" + name + "' already registered as non-gauge");
   return **slot;
 }
 
 Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<double> upper_edges) {
+                                      std::vector<double> upper_edges,
+                                      Determinism determinism) {
   std::lock_guard<std::mutex> lock(impl_->mutex);
   auto it = impl_->instruments.find(name);
   if (it == impl_->instruments.end()) {
@@ -230,21 +239,25 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
       upper_edges = Histogram::default_time_edges_us();
     }
     it = impl_->instruments
-             .emplace(name, std::make_unique<Histogram>(std::move(upper_edges)))
+             .emplace(name, Impl::Slot{std::make_unique<Histogram>(
+                                std::move(upper_edges))})
              .first;
   }
-  auto* slot = std::get_if<std::unique_ptr<Histogram>>(&it->second);
+  auto* slot = std::get_if<std::unique_ptr<Histogram>>(&it->second.instrument);
   HPNN_CHECK(slot != nullptr, "metrics name '" + name +
                                     "' already registered as non-histogram");
+  it->second.schedule_dependent |=
+      determinism == Determinism::kScheduleDependent;
   return **slot;
 }
 
 Snapshot MetricsRegistry::snapshot() const {
   std::lock_guard<std::mutex> lock(impl_->mutex);
   Snapshot snap;
-  for (const auto& [name, instrument] : impl_->instruments) {
+  for (const auto& [name, slot] : impl_->instruments) {
+    const Impl::Instrument& instrument = slot.instrument;
     if (const auto* c = std::get_if<std::unique_ptr<Counter>>(&instrument)) {
-      snap.counters.push_back({name, (*c)->value()});
+      snap.counters.push_back({name, (*c)->value(), slot.schedule_dependent});
     } else if (const auto* g =
                    std::get_if<std::unique_ptr<Gauge>>(&instrument)) {
       snap.gauges.push_back({name, (*g)->value()});
@@ -261,6 +274,7 @@ Snapshot MetricsRegistry::snapshot() const {
       entry.p50 = (*h)->percentile(0.50);
       entry.p95 = (*h)->percentile(0.95);
       entry.p99 = (*h)->percentile(0.99);
+      entry.schedule_dependent = slot.schedule_dependent;
       snap.histograms.push_back(std::move(entry));
     }
   }
@@ -269,8 +283,8 @@ Snapshot MetricsRegistry::snapshot() const {
 
 void MetricsRegistry::reset() {
   std::lock_guard<std::mutex> lock(impl_->mutex);
-  for (auto& [name, instrument] : impl_->instruments) {
-    std::visit([](auto& ptr) { ptr->reset(); }, instrument);
+  for (auto& [name, slot] : impl_->instruments) {
+    std::visit([](auto& ptr) { ptr->reset(); }, slot.instrument);
   }
 }
 
@@ -279,11 +293,15 @@ void MetricsRegistry::reset() {
 
 void write_json(std::ostream& os, const Snapshot& snap, bool deterministic) {
   os << "{\n  \"counters\": {";
-  for (std::size_t i = 0; i < snap.counters.size(); ++i) {
-    os << (i == 0 ? "\n" : ",\n") << "    \"" << snap.counters[i].name
-       << "\": " << snap.counters[i].value;
+  bool first = true;
+  for (const auto& c : snap.counters) {
+    if (deterministic && c.schedule_dependent) {
+      continue;
+    }
+    os << (first ? "\n" : ",\n") << "    \"" << c.name << "\": " << c.value;
+    first = false;
   }
-  os << (snap.counters.empty() ? "}" : "\n  }");
+  os << (first ? "}" : "\n  }");
   if (!deterministic) {
     os << ",\n  \"gauges\": {";
     for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
@@ -293,10 +311,14 @@ void write_json(std::ostream& os, const Snapshot& snap, bool deterministic) {
     os << (snap.gauges.empty() ? "}" : "\n  }");
   }
   os << ",\n  \"histograms\": {";
-  for (std::size_t i = 0; i < snap.histograms.size(); ++i) {
-    const auto& h = snap.histograms[i];
-    os << (i == 0 ? "\n" : ",\n") << "    \"" << h.name << "\": {"
+  first = true;
+  for (const auto& h : snap.histograms) {
+    if (deterministic && h.schedule_dependent) {
+      continue;
+    }
+    os << (first ? "\n" : ",\n") << "    \"" << h.name << "\": {"
        << "\"count\": " << h.count;
+    first = false;
     if (!deterministic) {
       os << ", \"sum\": " << format_double(h.sum)
          << ", \"min\": " << format_double(h.min)
@@ -315,12 +337,15 @@ void write_json(std::ostream& os, const Snapshot& snap, bool deterministic) {
     }
     os << "}";
   }
-  os << (snap.histograms.empty() ? "}" : "\n  }") << "\n}\n";
+  os << (first ? "}" : "\n  }") << "\n}\n";
 }
 
 void write_csv(std::ostream& os, const Snapshot& snap, bool deterministic) {
   os << "kind,name,field,value\n";
   for (const auto& c : snap.counters) {
+    if (deterministic && c.schedule_dependent) {
+      continue;
+    }
     os << "counter," << c.name << ",value," << c.value << "\n";
   }
   if (!deterministic) {
@@ -329,6 +354,9 @@ void write_csv(std::ostream& os, const Snapshot& snap, bool deterministic) {
     }
   }
   for (const auto& h : snap.histograms) {
+    if (deterministic && h.schedule_dependent) {
+      continue;
+    }
     os << "histogram," << h.name << ",count," << h.count << "\n";
     if (!deterministic) {
       os << "histogram," << h.name << ",sum," << format_double(h.sum) << "\n";

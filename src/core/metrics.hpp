@@ -6,12 +6,15 @@
 // counter totals stay *exact* under any HPNN_THREADS setting; the registry
 // mutex is only taken on first lookup of a name and when snapshotting.
 //
-// Determinism contract (DESIGN.md §9): counters, gauges and histogram
-// sample counts are pure functions of the work performed, so the
-// *deterministic* snapshot view is byte-identical across identical runs.
-// Wall-clock-derived fields (histogram sums/buckets/percentiles, trace
-// timestamps) are measurements, not functions of the input, and are only
-// present in the full view.
+// Determinism contract (DESIGN.md §9): the *deterministic* snapshot view
+// is byte-identical across identical runs at any HPNN_THREADS setting. It
+// holds counters and histogram sample counts, which are pure functions of
+// the work performed. Two kinds of value are left to the full view only:
+// wall-clock-derived fields (gauges, histogram sums/buckets/percentiles,
+// trace timestamps), which are measurements rather than functions of the
+// input; and instruments registered as Determinism::kScheduleDependent,
+// whose totals depend on how the thread pool happened to schedule the work
+// (e.g. the chunks the calling thread drained).
 //
 // Kill switch: compile-time -DHPNN_METRICS_DISABLED (CMake -DHPNN_METRICS=OFF)
 // pins enabled() to false; at runtime HPNN_METRICS=off (or "0") disables
@@ -43,6 +46,12 @@ void set_enabled(bool on);
 /// thread's lifetime; used as the trace lane and the log thread-id. Always
 /// available, even with metrics disabled.
 int thread_ordinal();
+
+/// Registration tag: whether an instrument's count is a pure function of
+/// the work performed (kExact) or also of thread scheduling
+/// (kScheduleDependent). Schedule-dependent instruments appear only in the
+/// full snapshot view.
+enum class Determinism { kExact, kScheduleDependent };
 
 /// Monotonically increasing sum. Lock-free; totals are exact under
 /// concurrency (relaxed atomics — ordering is irrelevant for sums).
@@ -109,6 +118,7 @@ struct Snapshot {
   struct CounterEntry {
     std::string name;
     std::uint64_t value = 0;
+    bool schedule_dependent = false;
   };
   struct GaugeEntry {
     std::string name;
@@ -125,6 +135,7 @@ struct Snapshot {
     double p50 = 0.0;
     double p95 = 0.0;
     double p99 = 0.0;
+    bool schedule_dependent = false;
   };
   std::vector<CounterEntry> counters;
   std::vector<GaugeEntry> gauges;
@@ -141,17 +152,21 @@ class MetricsRegistry {
   static MetricsRegistry& instance();
 
   /// Create-or-lookup by name. Looking up an existing name with a different
-  /// instrument kind throws InvariantError.
-  Counter& counter(const std::string& name);
+  /// instrument kind throws InvariantError. Passing
+  /// Determinism::kScheduleDependent tags the instrument; the tag is sticky
+  /// (a later kExact lookup does not clear it) and survives reset().
+  Counter& counter(const std::string& name,
+                   Determinism determinism = Determinism::kExact);
   Gauge& gauge(const std::string& name);
   /// `upper_edges` empty selects Histogram::default_time_edges_us(). Edges
   /// are fixed by the first registration; later lookups ignore the argument.
   Histogram& histogram(const std::string& name,
-                       std::vector<double> upper_edges = {});
+                       std::vector<double> upper_edges = {},
+                       Determinism determinism = Determinism::kExact);
 
   Snapshot snapshot() const;
 
-  /// Zeroes every instrument (registrations and references survive).
+  /// Zeroes every instrument (registrations, tags and references survive).
   void reset();
 
   MetricsRegistry(const MetricsRegistry&) = delete;
@@ -166,9 +181,10 @@ class MetricsRegistry {
 
 /// JSON object {"counters":{...},"gauges":{...},"histograms":{...}} with
 /// keys in sorted order. `deterministic` drops every wall-clock-derived
-/// field (gauges, histogram sum/min/max/percentiles/buckets), leaving only
-/// counters and histogram sample counts — byte-identical across identical
-/// runs (DESIGN.md §9).
+/// field (gauges, histogram sum/min/max/percentiles/buckets) and every
+/// schedule-dependent instrument, leaving only exact counters and histogram
+/// sample counts — byte-identical across identical runs at any thread count
+/// (DESIGN.md §9).
 void write_json(std::ostream& os, const Snapshot& snap,
                 bool deterministic = false);
 

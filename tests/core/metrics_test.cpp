@@ -165,6 +165,58 @@ TEST(SnapshotTest, DeterministicViewOmitsWallClockFields) {
   EXPECT_NE(det.str().find("\"count\": 1"), std::string::npos);
 }
 
+TEST(SnapshotTest, ScheduleDependentInstrumentsAppearOnlyInFullView) {
+  reg().counter("test.sched.counter", Determinism::kScheduleDependent).add(3);
+  reg()
+      .histogram("test.sched.hist", {1.0}, Determinism::kScheduleDependent)
+      .observe(0.5);
+  reg().counter("test.sched.exact").add(4);
+  // A later untagged lookup does not clear the tag, and reset() keeps it.
+  reg().counter("test.sched.counter");
+  reg().reset();
+  reg().counter("test.sched.counter").add(3);
+  reg().histogram("test.sched.hist").observe(0.5);
+  reg().counter("test.sched.exact").add(4);
+  const Snapshot snap = reg().snapshot();
+  for (const auto& c : snap.counters) {
+    if (c.name.rfind("test.sched.", 0) == 0) {
+      EXPECT_EQ(c.schedule_dependent, c.name == "test.sched.counter")
+          << c.name;
+    }
+  }
+
+  std::ostringstream full_json;
+  std::ostringstream det_json;
+  std::ostringstream full_csv;
+  std::ostringstream det_csv;
+  write_json(full_json, snap, /*deterministic=*/false);
+  write_json(det_json, snap, /*deterministic=*/true);
+  write_csv(full_csv, snap, /*deterministic=*/false);
+  write_csv(det_csv, snap, /*deterministic=*/true);
+
+  EXPECT_NE(full_json.str().find("\"test.sched.counter\": 3"),
+            std::string::npos);
+  EXPECT_NE(full_json.str().find("\"test.sched.hist\": {\"count\": 1"),
+            std::string::npos);
+  EXPECT_NE(full_csv.str().find("counter,test.sched.counter,value,3"),
+            std::string::npos);
+  EXPECT_NE(full_csv.str().find("histogram,test.sched.hist,count,1"),
+            std::string::npos);
+
+  EXPECT_EQ(det_json.str().find("test.sched.counter"), std::string::npos);
+  EXPECT_EQ(det_json.str().find("test.sched.hist"), std::string::npos);
+  EXPECT_EQ(det_csv.str().find("test.sched.counter"), std::string::npos);
+  EXPECT_EQ(det_csv.str().find("test.sched.hist"), std::string::npos);
+
+  for (const std::string& view : {full_json.str(), det_json.str()}) {
+    EXPECT_NE(view.find("\"test.sched.exact\": 4"), std::string::npos);
+  }
+  for (const std::string& view : {full_csv.str(), det_csv.str()}) {
+    EXPECT_NE(view.find("counter,test.sched.exact,value,4"),
+              std::string::npos);
+  }
+}
+
 TEST(SnapshotTest, CsvExportListsEveryInstrument) {
   reg().reset();
   reg().counter("test.csv.counter").add(5);

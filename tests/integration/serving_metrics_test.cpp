@@ -77,9 +77,10 @@ Tensor request_batch(std::int64_t batch, std::uint64_t seed) {
   return Tensor::normal(Shape{batch, 1, 16, 16}, rng, 0.0f, 0.25f);
 }
 
-/// Single-threaded pool for the duration of a test: scheduling-dependent
-/// counters (caller chunks, queue waits) are only reproducible when the
-/// inline execution path handles every chunk.
+/// Single-threaded pool for the duration of a test, so every chunk runs on
+/// the inline execution path. The deterministic snapshot view does not rely
+/// on the pin: schedule-dependent pool instruments are tagged and left out
+/// of it at any thread count (DESIGN.md §9).
 class ServingMetricsTest : public ::testing::Test {
  protected:
   void SetUp() override {

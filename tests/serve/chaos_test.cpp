@@ -14,10 +14,10 @@
 namespace hpnn::serve {
 namespace {
 
-/// Single-threaded fixture: the chaos *counters* are exact at any thread
-/// count, but byte-identical metrics snapshots additionally require a
-/// serial schedule (histogram bucket fills are order-dependent only in the
-/// deterministic-snapshot view's sample lists).
+/// Single-threaded fixture, so every chunk runs on the inline execution
+/// path. The deterministic metrics snapshot does not rely on the pin:
+/// schedule-dependent pool instruments are tagged and left out of it at any
+/// thread count (DESIGN.md §9).
 class ChaosDeterminismTest : public ::testing::Test {
  protected:
   void SetUp() override {

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -58,11 +60,28 @@ DaemonConfig threaded_config(std::size_t workers) {
 
 TEST(DaemonConcurrencyTest, ConcurrentProducersAllGetCorrectAnswers) {
   ThreadedHarness h(threaded_config(2));
+
+  // The oracle runs at coalesced-batch granularity (dynamic int8 scales
+  // depend on batch content, so a co-batched reply need not match a solo
+  // inference), hung on the daemon's batch observer. Both workers call the
+  // observer, so the shared reference device is only touched under a lock.
+  std::mutex oracle_mutex;
+  int wrong_batches = 0;
+  std::int64_t rows_checked = 0;
+  h.daemon->set_batch_observer([&](const Tensor& images,
+                                   const RequestResult& result,
+                                   const auto& /*requests*/) {
+    std::lock_guard<std::mutex> lock(oracle_mutex);
+    if (result.classes != h.reference->classify(images)) {
+      ++wrong_batches;
+    }
+    rows_checked += images.dim(0);
+  });
   h.daemon->start();
 
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 6;
-  std::atomic<int> correct{0};
+  std::atomic<int> answered{0};
   std::vector<std::thread> producers;
   producers.reserve(kProducers);
   for (int p = 0; p < kProducers; ++p) {
@@ -73,8 +92,8 @@ TEST(DaemonConcurrencyTest, ConcurrentProducersAllGetCorrectAnswers) {
         const Tensor images = h.batch(seed);
         const Reply reply =
             h.daemon->submit("tenant" + std::to_string(p), images);
-        if (reply.classes == h.reference->classify(images)) {
-          correct.fetch_add(1);
+        if (reply.classes.size() == 1) {
+          answered.fetch_add(1);
         }
       }
     });
@@ -84,7 +103,12 @@ TEST(DaemonConcurrencyTest, ConcurrentProducersAllGetCorrectAnswers) {
   }
   h.daemon->drain();
 
-  EXPECT_EQ(correct.load(), kProducers * kPerProducer);
+  EXPECT_EQ(answered.load(), kProducers * kPerProducer);
+  {
+    std::lock_guard<std::mutex> lock(oracle_mutex);
+    EXPECT_EQ(wrong_batches, 0);
+    EXPECT_EQ(rows_checked, kProducers * kPerProducer);
+  }
   const DaemonStats stats = h.daemon->stats();
   EXPECT_EQ(stats.completed,
             static_cast<std::uint64_t>(kProducers * kPerProducer));
