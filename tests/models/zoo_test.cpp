@@ -38,12 +38,21 @@ TEST(ZooTest, Cnn3NeuronCountMatchesTable1) {
   EXPECT_EQ(locked_neuron_count(Architecture::kCnn3, cfg(3, 32)), 29696);
 }
 
+// gtest prints this struct's raw bytes into the test names that ctest
+// registers, so it must have no padding: an unnamed hole after `arch` would
+// print whatever the memory held and rename the tests from build to build.
 struct ArchCase {
+  ArchCase(Architecture a, std::int64_t c, std::int64_t s, double w)
+      : arch(a), channels(c), size(s), width(w) {}
+
   Architecture arch;
+  std::int32_t reserved = 0;  // fills the hole before the 8-byte fields
   std::int64_t channels;
   std::int64_t size;
   double width;
 };
+static_assert(sizeof(ArchCase) == sizeof(Architecture) + sizeof(std::int32_t) +
+                                      2 * sizeof(std::int64_t) + sizeof(double));
 
 class ArchBuildTest : public ::testing::TestWithParam<ArchCase> {};
 
